@@ -21,8 +21,6 @@
 use acq_engine::{AggState, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery};
 use acq_query::AcqQuery;
 
-use crate::space::GridPoint;
-
 /// Deferred work accounting for one speculatively executed cell query.
 ///
 /// The parallel Explore phase executes cells on worker threads through
@@ -203,6 +201,9 @@ impl ParallelCells for ScanEvaluator<'_> {
 /// per-cell bands at negligible metadata cost.
 const MATRIX_ZONE_BLOCK: usize = 256;
 
+/// Bits per radix-sort digit: 2^11 counters stay in L1.
+const RADIX_BITS: u32 = 11;
+
 /// Per-tuple scores and aggregate inputs, computed once.
 ///
 /// Rows are stored clustered: sorted by their integer-quantised score
@@ -218,9 +219,6 @@ struct ScoreMatrix {
     /// Aggregate-column value per admissible tuple.
     vals: Vec<f64>,
     d: usize,
-    /// Per-block, per-dimension exact score bounds:
-    /// `zones[b * d + k] = (min, max)` of dimension `k` in block `b`.
-    zones: Vec<(f64, f64)>,
 }
 
 impl ScoreMatrix {
@@ -293,26 +291,13 @@ impl ScoreMatrix {
         Ok(Self::finalize(scores, vals, d))
     }
 
-    /// Clusters rows by quantised score and computes the per-block zone
-    /// bounds. Deterministic given `(scores, vals, d)`.
+    /// Clusters rows by quantised score ([`cluster_order`]). Deterministic
+    /// given `(scores, vals, d)`.
     fn finalize(mut scores: Vec<f64>, mut vals: Vec<f64>, d: usize) -> Self {
-        let n = vals.len();
-        if d > 0 && n > 1 {
-            // Matrix scores are finite by construction (infinite-score
-            // tuples never enter), so total_cmp is a plain total order.
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            perm.sort_unstable_by(|&a, &b| {
-                let (ra, rb) = (a as usize * d, b as usize * d);
-                for k in 0..d {
-                    let (qa, qb) = (scores[ra + k].floor(), scores[rb + k].floor());
-                    if qa != qb {
-                        return qa.total_cmp(&qb);
-                    }
-                }
-                a.cmp(&b)
-            });
+        if d > 0 && vals.len() > 1 {
+            let perm = cluster_order(&scores, d);
             let mut s2 = Vec::with_capacity(scores.len());
-            let mut v2 = Vec::with_capacity(n);
+            let mut v2 = Vec::with_capacity(vals.len());
             for &p in &perm {
                 let p = p as usize;
                 s2.extend_from_slice(&scores[p * d..(p + 1) * d]);
@@ -321,36 +306,195 @@ impl ScoreMatrix {
             scores = s2;
             vals = v2;
         }
-        let blocks = n.div_ceil(MATRIX_ZONE_BLOCK);
-        let mut zones = Vec::with_capacity(blocks * d);
-        for b in 0..blocks {
-            let start = b * MATRIX_ZONE_BLOCK;
-            let end = (start + MATRIX_ZONE_BLOCK).min(n);
-            for k in 0..d {
-                let mut mn = f64::INFINITY;
-                let mut mx = f64::NEG_INFINITY;
-                for i in start..end {
-                    let s = scores[i * d + k];
-                    if s < mn {
-                        mn = s;
-                    }
-                    if s > mx {
-                        mx = s;
-                    }
-                }
-                zones.push((mn, mx));
-            }
-        }
-        Self {
-            scores,
-            vals,
-            d,
-            zones,
-        }
+        Self { scores, vals, d }
     }
 
     fn len(&self) -> usize {
         self.vals.len()
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        &self.scores[i * self.d..(i + 1) * self.d]
+    }
+
+    /// Folds every tuple admitted by `bounds` into `state` (the shared
+    /// full-query scan of the cached-score layers).
+    fn full_aggregate_into(&self, bounds: &[f64], state: &mut AggState) {
+        for i in 0..self.len() {
+            if self.row(i).iter().zip(bounds).all(|(s, b)| s <= b) {
+                state.update(self.vals[i]);
+            }
+        }
+    }
+}
+
+/// `floor(s)` as a `u64` key with the same order, for every finite
+/// `s >= +0.0` (matrix scores are, by construction). Below 2^52 it is the
+/// truncating cast. From 2^52 up every `f64` is an integer and the IEEE bit
+/// pattern of a non-negative float is monotone, so the key continues from
+/// the bits there instead of saturating.
+#[inline]
+fn floor_key(s: f64) -> u64 {
+    const EXACT: f64 = 4_503_599_627_370_496.0; // 2^52
+    if s < EXACT {
+        s as u64
+    } else {
+        (1 << 52) + (s.to_bits() - EXACT.to_bits())
+    }
+}
+
+/// The clustering permutation of an `n × d` score matrix: row indices in
+/// `(floor(s_0), …, floor(s_{d-1}), index)` order, in O(n) per key chunk.
+///
+/// Each dimension is one key field, or two (high and low half) when its
+/// keys need more than 32 bits. Consecutive fields pack mixed-radix into
+/// chunks below 2^32. Least significant chunk first, the rows are
+/// re-packed as `(chunk << 32) | row` words and sorted by a stable LSD
+/// radix sort in 11-bit digits, only over the digits the chunk uses.
+/// Starting from the identity order, stability makes the row index the
+/// final tie-break.
+fn cluster_order(scores: &[f64], d: usize) -> Vec<u32> {
+    const LOW: u64 = u32::MAX as u64;
+    let n = scores.len() / d;
+    assert!(u32::try_from(n).is_ok(), "score matrix rows must fit u32");
+    let mut max = vec![0u64; d];
+    for row in scores.chunks_exact(d) {
+        for (m, &s) in max.iter_mut().zip(row) {
+            *m = (*m).max(floor_key(s));
+        }
+    }
+    // Fields `(dim, shift, mask, radix)`, least significant first: the
+    // field's value is `(floor_key(s[dim]) >> shift) & mask`, in
+    // `0..radix` with `radix <= 2^32`.
+    let mut fields = Vec::with_capacity(2 * d);
+    for (dim, &m) in max.iter().enumerate().rev() {
+        if m <= LOW {
+            fields.push((dim, 0, u64::MAX, m + 1));
+        } else {
+            fields.push((dim, 0, LOW, LOW + 1));
+            fields.push((dim, 32, u64::MAX, (m >> 32) + 1));
+        }
+    }
+    let mut words: Vec<u64> = (0..n as u64).collect();
+    let mut spare = vec![0u64; n];
+    let mut rest = &fields[..];
+    while !rest.is_empty() {
+        let mut span = 1u64;
+        let mut take = 0;
+        while let Some(p) = rest.get(take).and_then(|f| span.checked_mul(f.3)) {
+            if p > LOW + 1 {
+                break;
+            }
+            span = p;
+            take += 1;
+        }
+        let (chunk, tail) = rest.split_at(take);
+        rest = tail;
+        if span == 1 {
+            // Every field in the chunk is constant: nothing to order.
+            continue;
+        }
+        for w in &mut words {
+            let row = *w & LOW;
+            let s = &scores[row as usize * d..];
+            let (mut key, mut mult) = (0u64, 1u64);
+            for &(dim, shift, mask, radix) in chunk {
+                key += ((floor_key(s[dim]) >> shift) & mask) * mult;
+                mult *= radix;
+            }
+            *w = key << 32 | row;
+        }
+        let top = 32 + (64 - (span - 1).leading_zeros());
+        for shift in (32..top).step_by(RADIX_BITS as usize) {
+            if radix_pass(&words, &mut spare, shift) {
+                std::mem::swap(&mut words, &mut spare);
+            }
+        }
+    }
+    words.into_iter().map(|w| w as u32).collect()
+}
+
+/// One stable counting-sort pass of `src` into `dst` on the 11-bit digit
+/// at bit `shift`. Returns `false`, leaving `dst` untouched, when every
+/// word has the same digit.
+fn radix_pass(src: &[u64], dst: &mut [u64], shift: u32) -> bool {
+    const DIGITS: usize = 1 << RADIX_BITS;
+    let digit = |w: u64| (w >> shift) as usize & (DIGITS - 1);
+    let mut count = [0usize; DIGITS];
+    for &w in src {
+        count[digit(w)] += 1;
+    }
+    if count.contains(&src.len()) {
+        return false;
+    }
+    let mut next = 0;
+    for c in &mut count {
+        (*c, next) = (next, next + *c);
+    }
+    for &w in src {
+        let slot = &mut count[digit(w)];
+        dst[*slot] = w;
+        *slot += 1;
+    }
+    true
+}
+
+// ---------------------------------------------------------------------------
+// CachedScoreEvaluator
+// ---------------------------------------------------------------------------
+
+/// Caches per-tuple scores; each query is a filter over the cache.
+#[derive(Debug)]
+pub struct CachedScoreEvaluator<'a> {
+    exec: &'a mut Executor,
+    rq: ResolvedQuery,
+    matrix: ScoreMatrix,
+    /// Per-block, per-dimension exact score bounds of the clustered matrix:
+    /// `zones[b * d + k] = (min, max)` of dimension `k` in block `b`.
+    zones: Vec<(f64, f64)>,
+    /// Captured from the executor at construction: whether cell queries
+    /// walk the score-matrix zone blocks or filter every cached row.
+    zone_pruning: bool,
+}
+
+impl<'a> CachedScoreEvaluator<'a> {
+    /// Builds the evaluator (one base-relation materialisation plus one
+    /// scoring pass).
+    pub fn new(exec: &'a mut Executor, query: &AcqQuery, caps: &[f64]) -> EngineResult<Self> {
+        Self::with_threads(exec, query, caps, 1)
+    }
+
+    /// Like [`CachedScoreEvaluator::new`] but scores tuples on `threads`
+    /// worker threads (deterministic; identical matrix to a serial build).
+    pub fn with_threads(
+        exec: &'a mut Executor,
+        query: &AcqQuery,
+        caps: &[f64],
+        threads: usize,
+    ) -> EngineResult<Self> {
+        let rq = exec.resolve(query)?;
+        let rel = exec.base_relation(&rq, caps)?;
+        let matrix = ScoreMatrix::build_with_threads(exec, &rq, &rel, threads)?;
+        let mut zones = Vec::with_capacity(matrix.len().div_ceil(MATRIX_ZONE_BLOCK) * matrix.d);
+        for block in matrix.scores.chunks(MATRIX_ZONE_BLOCK * matrix.d.max(1)) {
+            for k in 0..matrix.d {
+                let (mut mn, mut mx) = (f64::INFINITY, f64::NEG_INFINITY);
+                for &s in block.iter().skip(k).step_by(matrix.d) {
+                    mn = mn.min(s);
+                    mx = mx.max(s);
+                }
+                zones.push((mn, mx));
+            }
+        }
+        let zone_pruning = exec.zone_pruning();
+        Ok(Self {
+            exec,
+            rq,
+            matrix,
+            zones,
+            zone_pruning,
+        })
     }
 
     /// How block `b` relates to `cell` in score space: exact comparisons
@@ -358,9 +502,9 @@ impl ScoreMatrix {
     /// round (see DESIGN, "Zone-map pruning and the determinism contract").
     fn classify_block(&self, b: usize, cell: &[CellRange]) -> acq_engine::BlockClass {
         use acq_engine::BlockClass;
-        let zs = &self.zones[b * self.d..(b + 1) * self.d];
+        let d = self.matrix.d;
         let mut cls = BlockClass::Full;
-        for (r, &(mn, mx)) in cell.iter().zip(zs) {
+        for (r, &(mn, mx)) in cell.iter().zip(&self.zones[b * d..(b + 1) * d]) {
             let c = match r {
                 CellRange::Zero => {
                     if mn > 0.0 || mx < 0.0 {
@@ -389,118 +533,51 @@ impl ScoreMatrix {
         cls
     }
 
-    /// The shared cell scan of the cached-score layer: zone-pruned block
-    /// walk when enabled, full filter otherwise. Folds qualifying rows into
-    /// `state` in row order (bit-identical either way) and returns the
-    /// deferred accounting.
-    fn cell_scan_into(&self, cell: &[CellRange], state: &mut AggState, pruned: bool) -> CellCost {
+    /// The cell scan: zone-pruned block walk when enabled, full filter
+    /// otherwise. Folds qualifying rows into a fresh state in row order
+    /// (bit-identical either way) and returns the deferred accounting.
+    fn cell_scan(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
         use acq_engine::BlockClass;
-        let n = self.len();
+        let m = &self.matrix;
+        let n = m.len();
+        let mut state = self.empty_state()?;
         let mut cost = CellCost::default();
-        if !pruned {
+        let in_cell = |i: usize| m.row(i).iter().zip(cell).all(|(s, r)| r.contains(*s));
+        if !self.zone_pruning {
             cost.tuples_scanned = n as u64;
-            for i in 0..n {
-                if self.row(i).iter().zip(cell).all(|(s, r)| r.contains(*s)) {
-                    state.update(self.vals[i]);
-                }
+            for i in (0..n).filter(|&i| in_cell(i)) {
+                state.update(m.vals[i]);
             }
-            return cost;
+            return Ok((state, cost));
         }
-        let mut start = 0usize;
-        let mut b = 0usize;
-        while start < n {
+        for (b, start) in (0..n).step_by(MATRIX_ZONE_BLOCK).enumerate() {
             let end = (start + MATRIX_ZONE_BLOCK).min(n);
             match self.classify_block(b, cell) {
                 BlockClass::Skip => cost.zones_pruned += 1,
                 BlockClass::Full => {
                     cost.zones_full += 1;
-                    if let AggState::Count(c) = state {
+                    if let AggState::Count(c) = &mut state {
                         *c += (end - start) as u64;
                     } else {
-                        state.update_many(self.vals[start..end].iter().copied());
+                        state.update_many(m.vals[start..end].iter().copied());
                     }
                 }
                 BlockClass::Scan => {
                     cost.zones_scanned += 1;
                     cost.tuples_scanned += (end - start) as u64;
-                    for i in start..end {
-                        if self.row(i).iter().zip(cell).all(|(s, r)| r.contains(*s)) {
-                            state.update(self.vals[i]);
-                        }
+                    for i in (start..end).filter(|&i| in_cell(i)) {
+                        state.update(m.vals[i]);
                     }
                 }
             }
-            start = end;
-            b += 1;
         }
-        cost
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> &[f64] {
-        &self.scores[i * self.d..(i + 1) * self.d]
-    }
-
-    /// Folds every tuple admitted by `bounds` into `state` (the shared
-    /// full-query scan of the cached-score layers).
-    fn full_aggregate_into(&self, bounds: &[f64], state: &mut AggState) {
-        for i in 0..self.len() {
-            if self.row(i).iter().zip(bounds).all(|(s, b)| s <= b) {
-                state.update(self.vals[i]);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CachedScoreEvaluator
-// ---------------------------------------------------------------------------
-
-/// Caches per-tuple scores; each query is a filter over the cache.
-#[derive(Debug)]
-pub struct CachedScoreEvaluator<'a> {
-    exec: &'a mut Executor,
-    rq: ResolvedQuery,
-    matrix: ScoreMatrix,
-    /// Captured from the executor at construction: whether cell queries
-    /// walk the score-matrix zone blocks or filter every cached row.
-    zone_pruning: bool,
-}
-
-impl<'a> CachedScoreEvaluator<'a> {
-    /// Builds the evaluator (one base-relation materialisation plus one
-    /// scoring pass).
-    pub fn new(exec: &'a mut Executor, query: &AcqQuery, caps: &[f64]) -> EngineResult<Self> {
-        Self::with_threads(exec, query, caps, 1)
-    }
-
-    /// Like [`CachedScoreEvaluator::new`] but scores tuples on `threads`
-    /// worker threads (deterministic; identical matrix to a serial build).
-    pub fn with_threads(
-        exec: &'a mut Executor,
-        query: &AcqQuery,
-        caps: &[f64],
-        threads: usize,
-    ) -> EngineResult<Self> {
-        let rq = exec.resolve(query)?;
-        let rel = exec.base_relation(&rq, caps)?;
-        let matrix = ScoreMatrix::build_with_threads(exec, &rq, &rel, threads)?;
-        let zone_pruning = exec.zone_pruning();
-        Ok(Self {
-            exec,
-            rq,
-            matrix,
-            zone_pruning,
-        })
+        Ok((state, cost))
     }
 }
 
 impl EvaluationLayer for CachedScoreEvaluator<'_> {
     fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        let mut state = self.empty_state()?;
-        let cost = self
-            .matrix
-            .cell_scan_into(cell, &mut state, self.zone_pruning);
+        let (state, cost) = self.cell_scan(cell)?;
         cost.apply(self.exec.stats_mut());
         Ok(state)
     }
@@ -541,11 +618,7 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
 
 impl ParallelCells for CachedScoreEvaluator<'_> {
     fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
-        let mut state = self.empty_state()?;
-        let cost = self
-            .matrix
-            .cell_scan_into(cell, &mut state, self.zone_pruning);
-        Ok((state, cost))
+        self.cell_scan(cell)
     }
 }
 
@@ -560,13 +633,126 @@ pub struct GridIndexEvaluator<'a> {
     exec: &'a mut Executor,
     rq: ResolvedQuery,
     matrix: ScoreMatrix,
-    cells: crate::fasthash::FastMap<GridPoint, CellBucket>,
+    index: CellIndex,
     step: f64,
 }
 
+/// The grid-cell index in CSR form, built in O(n): `rows` holds matrix row
+/// ids grouped by cell, each cell's rows in matrix order, and `ranges` maps
+/// a cell key to its `(start, len)` slice of `rows`.
+///
+/// A cell key is mixed-radix over each dimension's occupied bucket range
+/// `0..radix[k]`. Where the running product would overflow `u64`, the
+/// prefix key is first replaced by its dense first-seen id (`folds[k]`),
+/// so distinct cells never share a key whatever `d` and the ranges are.
 #[derive(Debug)]
-struct CellBucket {
+struct CellIndex {
+    radix: Vec<u64>,
+    folds: Vec<Option<crate::fasthash::FastMap<u64, u64>>>,
+    ranges: crate::fasthash::FastMap<u64, (u32, u32)>,
     rows: Vec<u32>,
+}
+
+impl CellIndex {
+    /// Two linear passes: key every row and count its cell, then place
+    /// rows at their cell's cursor.
+    fn build(matrix: &ScoreMatrix, step: f64) -> Self {
+        let n = matrix.len();
+        let bucket = |s: f64| u64::from(GridIndexEvaluator::bucket_of(s, step));
+        // bucket_of is monotone in s: the largest score has the largest
+        // bucket.
+        let mut max = vec![0.0f64; matrix.d];
+        for i in 0..n {
+            for (m, &s) in max.iter_mut().zip(matrix.row(i)) {
+                *m = m.max(s);
+            }
+        }
+        let radix: Vec<u64> = max.iter().map(|&s| bucket(s) + 1).collect();
+        let mut span = 1u64;
+        let folds = radix
+            .iter()
+            .map(|&r| match span.checked_mul(r) {
+                Some(p) => {
+                    span = p;
+                    None
+                }
+                // A fold id is below `n` (< 2^32) and `r <= 2^32`, so the
+                // folded product fits.
+                None => {
+                    span = n as u64 * r;
+                    Some(crate::fasthash::FastMap::default())
+                }
+            })
+            .collect();
+        let mut index = Self {
+            radix,
+            folds,
+            ranges: crate::fasthash::FastMap::default(),
+            rows: vec![0; n],
+        };
+        // Pass 1: cell ordinal (first-seen order) per row, and cell sizes.
+        // `ranges` holds `(ordinal, 0)` until pass 2.
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut cell_of = Vec::with_capacity(n);
+        for i in 0..n {
+            let key = index.insert(matrix.row(i).iter().map(|&s| bucket(s)));
+            let (ord, _) = *index.ranges.entry(key).or_insert_with(|| {
+                sizes.push(0);
+                (sizes.len() as u32 - 1, 0)
+            });
+            sizes[ord as usize] += 1;
+            cell_of.push(ord);
+        }
+        // Pass 2: exclusive prefix sums, then rows in matrix order.
+        let mut cursor = Vec::with_capacity(sizes.len());
+        let mut next = 0u32;
+        for &len in &sizes {
+            cursor.push(next);
+            next += len;
+        }
+        for range in index.ranges.values_mut() {
+            let ord = range.0 as usize;
+            *range = (cursor[ord], sizes[ord]);
+        }
+        for (i, &ord) in cell_of.iter().enumerate() {
+            let slot = &mut cursor[ord as usize];
+            index.rows[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        index
+    }
+
+    /// The key of an occupied cell at build time; prefixes first seen here
+    /// take the next fold id.
+    fn insert(&mut self, coords: impl Iterator<Item = u64>) -> u64 {
+        let mut key = 0u64;
+        for ((c, &r), fold) in coords.zip(&self.radix).zip(&mut self.folds) {
+            if let Some(f) = fold {
+                let next = f.len() as u64;
+                key = *f.entry(key).or_insert(next);
+            }
+            key = key * r + c;
+        }
+        key
+    }
+
+    /// The rows of the cell at `coords`, or `None` when it holds none. A
+    /// coordinate at or beyond its dimension's radix, or a folded prefix
+    /// that no row has, is an empty cell.
+    fn rows_of(&self, coords: impl Iterator<Item = u64>) -> Option<&[u32]> {
+        let mut key = 0u64;
+        for ((c, &r), fold) in coords.zip(&self.radix).zip(&self.folds) {
+            if c >= r {
+                return None;
+            }
+            if let Some(f) = fold {
+                key = *f.get(&key)?;
+            }
+            key = key * r + c;
+        }
+        let &(start, len) = self.ranges.get(&key)?;
+        Some(&self.rows[start as usize..(start + len) as usize])
+    }
 }
 
 impl<'a> GridIndexEvaluator<'a> {
@@ -594,24 +780,12 @@ impl<'a> GridIndexEvaluator<'a> {
         let rq = exec.resolve(query)?;
         let rel = exec.base_relation(&rq, caps)?;
         let matrix = ScoreMatrix::build_with_threads(exec, &rq, &rel, threads)?;
-        let mut cells: crate::fasthash::FastMap<GridPoint, CellBucket> =
-            crate::fasthash::FastMap::default();
-        let mut point = vec![0u32; rq.dims()];
-        for i in 0..matrix.len() {
-            for (k, &s) in matrix.row(i).iter().enumerate() {
-                point[k] = Self::bucket_of(s, step);
-            }
-            cells
-                .entry(point.clone())
-                .or_insert_with(|| CellBucket { rows: Vec::new() })
-                .rows
-                .push(i as u32);
-        }
+        let index = CellIndex::build(&matrix, step);
         Ok(Self {
             exec,
             rq,
             matrix,
-            cells,
+            index,
             step,
         })
     }
@@ -625,8 +799,10 @@ impl<'a> GridIndexEvaluator<'a> {
         if s <= 0.0 {
             return 0;
         }
-        let mut k = (s / step).ceil() as u32;
-        k = k.max(1);
+        // Ceiling by cast: q > 0 here, so truncation plus one unless exact.
+        let q = s / step;
+        let t = q as u32;
+        let mut k = (t + u32::from(f64::from(t) < q)).max(1);
         // Snap to comparison-consistent bucket: the cell test is
         // (k-1)*step < s <= k*step with multiplied bounds.
         while k > 1 && s <= f64::from(k - 1) * step {
@@ -641,38 +817,14 @@ impl<'a> GridIndexEvaluator<'a> {
     /// Number of distinct occupied cells (index footprint gauge).
     #[must_use]
     pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn point_of_cell(cell: &[CellRange], step: f64) -> GridPoint {
-        cell.iter()
-            .map(|r| match r {
-                CellRange::Zero => 0,
-                CellRange::Open { hi, .. } => (hi / step).round() as u32,
-            })
-            .collect()
+        self.index.ranges.len()
     }
 }
 
 impl EvaluationLayer for GridIndexEvaluator<'_> {
     fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        let point = Self::point_of_cell(cell, self.step);
-        let mut state = AggState::empty(&self.rq.query.constraint.spec, self.exec.uda_registry())?;
-        let stats = self.exec.stats_mut();
-        stats.cell_queries += 1;
-        stats.index_probes += 1;
-        match self.cells.get(&point) {
-            None => {
-                // Provably empty: skipped without execution (§7.4).
-                stats.cells_skipped += 1;
-            }
-            Some(bucket) => {
-                stats.tuples_scanned += bucket.rows.len() as u64;
-                for &i in &bucket.rows {
-                    state.update(self.matrix.vals[i as usize]);
-                }
-            }
-        }
+        let (state, cost) = self.cell_aggregate_shared(cell)?;
+        cost.apply(self.exec.stats_mut());
         Ok(state)
     }
 
@@ -712,20 +864,21 @@ impl EvaluationLayer for GridIndexEvaluator<'_> {
 
 impl ParallelCells for GridIndexEvaluator<'_> {
     fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
-        let point = Self::point_of_cell(cell, self.step);
         let mut state = self.empty_state()?;
         let mut cost = CellCost {
             index_probes: 1,
             ..CellCost::default()
         };
-        match self.cells.get(&point) {
-            None => {
-                // Provably empty: skipped without execution (§7.4).
-                cost.cells_skipped = 1;
-            }
-            Some(bucket) => {
-                cost.tuples_scanned = bucket.rows.len() as u64;
-                for &i in &bucket.rows {
+        let coords = cell.iter().map(|r| match r {
+            CellRange::Zero => 0,
+            CellRange::Open { hi, .. } => (hi / self.step).round() as u64,
+        });
+        match self.index.rows_of(coords) {
+            // Provably empty: skipped without execution (§7.4).
+            None => cost.cells_skipped = 1,
+            Some(rows) => {
+                cost.tuples_scanned = rows.len() as u64;
+                for &i in rows {
                     state.update(self.matrix.vals[i as usize]);
                 }
             }
@@ -739,6 +892,7 @@ mod tests {
     use super::*;
     use acq_engine::{Catalog, DataType, Field, TableBuilder, Value};
     use acq_query::{AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide};
+    use proptest::prelude::*;
 
     fn setup() -> (Executor, AcqQuery) {
         let mut b = TableBuilder::new(
@@ -850,6 +1004,28 @@ mod tests {
     }
 
     #[test]
+    fn probe_beyond_a_radix_is_skipped_not_aliased() {
+        let (mut exec, q) = setup();
+        let step = 5.0;
+        let mut grid = GridIndexEvaluator::new(&mut exec, &q, &caps(), step).unwrap();
+        let open = |k: f64| CellRange::Open {
+            lo: (k - 1.0) * step,
+            hi: k * step,
+        };
+        // Scores top out at 395 in both dimensions, so each radix is 80 and
+        // the probe (0, 81) has the same mixed-radix value as the occupied
+        // cell (1, 1).
+        let occupied = grid.cell_aggregate(&[open(1.0), open(1.0)]).unwrap();
+        assert_eq!(occupied.value(), Some(1.0));
+        let s0 = grid.stats();
+        let beyond = grid.cell_aggregate(&[CellRange::Zero, open(81.0)]).unwrap();
+        assert_eq!(beyond.value(), Some(0.0));
+        let s1 = grid.stats();
+        assert_eq!(s1.cells_skipped - s0.cells_skipped, 1);
+        assert_eq!(s1.tuples_scanned, s0.tuples_scanned);
+    }
+
+    #[test]
     fn bucket_of_boundaries() {
         let step = 5.0;
         assert_eq!(GridIndexEvaluator::bucket_of(0.0, step), 0);
@@ -870,6 +1046,144 @@ mod tests {
                 }
             };
             assert!(range.contains(s), "score {s} bucket {k}");
+        }
+    }
+
+    /// Reference clustering order: a comparison sort on
+    /// `(floor(s_0), …, floor(s_{d-1}), index)`.
+    fn reference_order(scores: &[f64], d: usize) -> Vec<u32> {
+        let n = scores.len() / d;
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.sort_by(|&a, &b| {
+            let (ra, rb) = (a as usize * d, b as usize * d);
+            for k in 0..d {
+                let (qa, qb) = (scores[ra + k].floor(), scores[rb + k].floor());
+                if qa != qb {
+                    return qa.total_cmp(&qb);
+                }
+            }
+            a.cmp(&b)
+        });
+        perm
+    }
+
+    /// A non-negative finite score drawn from one of five regimes, so a
+    /// column can be all ties, all zero, integer-valued, wider than 32 bits
+    /// once floored, or spread over the whole f64 range.
+    fn score_of(kind: u8, r: u64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => (r % 4) as f64,
+            2 => (r % 5000) as f64 / 7.0,
+            3 => (r % (1 << 44)) as f64 + 0.5,
+            _ => f64::from_bits(r % 0x7FF0_0000_0000_0000),
+        }
+    }
+
+    /// Reference `bucket_of`: ceiling by `f64::ceil`, same snapping.
+    fn bucket_of_ceil(s: f64, step: f64) -> u32 {
+        if s <= 0.0 {
+            return 0;
+        }
+        let mut k = ((s / step).ceil() as u32).max(1);
+        while k > 1 && s <= f64::from(k - 1) * step {
+            k -= 1;
+        }
+        while s > f64::from(k) * step {
+            k += 1;
+        }
+        k
+    }
+
+    fn random_matrix() -> impl Strategy<Value = (usize, Vec<f64>)> {
+        (1usize..5, 0usize..160).prop_flat_map(|(d, n)| {
+            (
+                prop::collection::vec(0u8..5, d),
+                prop::collection::vec(any::<u64>(), d * n),
+            )
+                .prop_map(move |(kinds, raw)| {
+                    let scores = raw
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &r)| score_of(kinds[i % d], r))
+                        .collect();
+                    (d, scores)
+                })
+        })
+    }
+
+    /// Every CSR range equals the filter `bucket_of(row) == point`, in
+    /// matrix order, and there is one range per occupied cell.
+    fn check_csr(scores: Vec<f64>, d: usize, step: f64) {
+        let n = scores.len() / d;
+        let m = ScoreMatrix::finalize(scores, vec![0.0; n], d);
+        let index = CellIndex::build(&m, step);
+        let point = |i: usize| -> Vec<u32> {
+            m.row(i)
+                .iter()
+                .map(|&s| GridIndexEvaluator::bucket_of(s, step))
+                .collect()
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..n {
+            let p = point(i);
+            if seen.insert(p.clone()) {
+                let want: Vec<u32> = (0..n as u32).filter(|&j| point(j as usize) == p).collect();
+                let got = index.rows_of(p.iter().map(|&c| u64::from(c)));
+                assert_eq!(got, Some(&want[..]), "cell {p:?}");
+            }
+        }
+        assert_eq!(index.ranges.len(), seen.len());
+    }
+
+    #[test]
+    fn fold_keys_never_alias() {
+        // Radix 2^22 in each of three dimensions: the plain mixed-radix
+        // key would need 66 bits, and modulo 2^64 the points (0, 0, 0)
+        // and (2^20, 0, 0) would share a key.
+        let top = f64::from((1u32 << 22) - 1);
+        let scores = [[0.0; 3], [f64::from(1u32 << 20), 0.0, 0.0], [top; 3]].concat();
+        check_csr(scores, 3, 1.0);
+    }
+
+    proptest! {
+        #[test]
+        fn radix_clustering_matches_the_comparator((d, scores) in random_matrix()) {
+            prop_assert_eq!(cluster_order(&scores, d), reference_order(&scores, d));
+        }
+
+        #[test]
+        fn csr_ranges_equal_the_bucket_filter(
+            (d, raw) in random_matrix(),
+            step in prop::sample::select(vec![1e-3, 0.5, 5.0, 10.0 / 3.0]),
+        ) {
+            // Keep buckets within u32; the tiny step still needs fold keys
+            // once d >= 3.
+            check_csr(raw.iter().map(|s| s % 1e6).collect(), d, step);
+        }
+
+        #[test]
+        fn cast_bucket_of_matches_ceil(
+            k in 0u32..100_000,
+            frac in 0.0f64..1.0,
+            step in prop::sample::select(vec![1e-3, 0.1, 5.0, 10.0 / 3.0, 7.0]),
+        ) {
+            let on = f64::from(k) * step;
+            let probes = [
+                on,
+                f64::from_bits(on.to_bits() + 1),
+                (f64::from(k) + frac) * step,
+                f64::MIN_POSITIVE,
+                5e-324,
+                1e-300,
+            ];
+            for s in probes {
+                prop_assert_eq!(
+                    GridIndexEvaluator::bucket_of(s, step),
+                    bucket_of_ceil(s, step),
+                    "s = {} step = {}", s, step
+                );
+            }
         }
     }
 

@@ -51,7 +51,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-mod bitmap_eval;
 mod config;
 mod contraction;
 mod driver;
@@ -73,7 +72,6 @@ mod space;
 mod store;
 
 pub use acq_obs::{MetricsSnapshot, Obs};
-pub use bitmap_eval::BitmapIndexEvaluator;
 pub use config::{AcquireConfig, Parallelism};
 pub use contraction::{
     contract, contract_with, contraction_query, run_contraction, run_contraction_with,
